@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "linalg/dense_factor.hpp"
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
@@ -213,6 +214,7 @@ Mat source_incidence(const Netlist& nl) {
 }
 
 MnaSystem build_mna(const Netlist& netlist, MnaForm form) {
+  obs::ScopedTimer span("circuit.mna");
   netlist.validate();
   require(netlist.node_count() > 1, "build_mna: circuit has no non-datum nodes");
   require(netlist.port_count() > 0 || form == MnaForm::kGeneral,

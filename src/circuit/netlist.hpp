@@ -84,6 +84,9 @@ class Netlist {
     inductors_.reserve(static_cast<size_t>(inductors));
   }
 
+  /// Element adders. Values must be finite (and R, C, L positive unless
+  /// negative elements are allowed); violations throw
+  /// Error(kInvalidArgument).
   Index add_resistor(Index n1, Index n2, double r, std::string name = {});
   Index add_capacitor(Index n1, Index n2, double c, std::string name = {});
   Index add_inductor(Index n1, Index n2, double l, std::string name = {});
@@ -130,7 +133,7 @@ class Netlist {
   bool allow_negative() const { return allow_negative_; }
 
  private:
-  void check_node(Index n, const std::string& what) const;
+  void check_node(Index n, const char* what) const;
 
   Index node_count_ = 1;  // node 0 (datum) always exists
   bool allow_negative_ = false;

@@ -1,285 +1,612 @@
 #include "circuit/parser.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
 #include <fstream>
-#include <map>
+#include <istream>
+#include <random>
 #include <sstream>
+#include <vector>
+
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> toks;
-  std::istringstream in(line);
-  std::string t;
-  while (in >> t) {
-    if (t[0] == '*' || t[0] == ';') break;  // trailing comment
-    toks.push_back(t);
-  }
-  return toks;
-}
-
-[[noreturn]] void fail(size_t line_no, const std::string& msg) {
-  throw Error(ErrorCode::kIo,
-              "netlist parse error at line " + std::to_string(line_no) + ": " + msg,
-              {.stage = "parser", .index = static_cast<Index>(line_no)});
-}
-
-struct Card {
-  std::vector<std::string> tokens;
-  size_t line_no = 0;
-};
-
-struct SubcktDef {
-  std::string name;
-  std::vector<std::string> pins;  // local node names
-  std::vector<Card> body;
-};
-
 constexpr int kMaxInstanceDepth = 32;
 
-// Recursive flattening context.
-struct Flattener {
-  Netlist& netlist;
-  std::map<std::string, Index>& nodes;              // global node table
-  std::map<std::string, Index>& inductor_names;     // scoped (prefixed) names
-  const std::map<std::string, SubcktDef>& subckts;
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_upper(char c) { return c >= 'A' && c <= 'Z'; }
+char to_lower(char c) {
+  return is_upper(c) ? static_cast<char>(c - 'A' + 'a') : c;
+}
+bool is_alpha(char c) {
+  const char l = to_lower(c);
+  return l >= 'a' && l <= 'z';
+}
 
-  Index node_of(const std::string& tok, const std::string& prefix,
-                const std::map<std::string, std::string>& pin_map) {
-    const std::string key = lower(tok);
-    if (key == "0" || key == "gnd") return 0;
-    const auto pin = pin_map.find(key);
-    const std::string global = (pin != pin_map.end()) ? pin->second : prefix + key;
-    if (global == "0") return 0;  // pin wired to ground by the parent
-    const auto it = nodes.find(global);
-    if (it != nodes.end()) return it->second;
-    const Index n = netlist.new_node();
-    nodes.emplace(global, n);
-    return n;
+bool has_upper(std::string_view s) {
+  return std::any_of(s.begin(), s.end(), is_upper);
+}
+
+/// Case-insensitive equality (ASCII).
+bool same_name(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t k = 0; k < a.size(); ++k)
+    if (to_lower(a[k]) != to_lower(b[k])) return false;
+  return true;
+}
+
+void append_lower(std::string& out, std::string_view s) {
+  for (char c : s) out.push_back(to_lower(c));
+}
+
+/// Splits one line into whitespace-separated tokens, stopping at a token
+/// that starts a comment ('*' or ';').
+void split(std::string_view line, std::vector<std::string_view>& out) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  while (true) {
+    while (p < end && is_space(*p)) ++p;
+    if (p == end || *p == '*' || *p == ';') return;
+    const char* const begin = p;
+    while (p < end && !is_space(*p)) ++p;
+    out.emplace_back(begin, static_cast<size_t>(p - begin));
   }
+}
 
-  void process(const std::vector<Card>& cards, const std::string& prefix,
-               const std::map<std::string, std::string>& pin_map, int depth) {
-    require(depth <= kMaxInstanceDepth,
-            "netlist parse error: subcircuit instances nested deeper than 32 "
-            "(recursive definition?)");
-    for (const auto& card : cards) {
-      const auto& toks = card.tokens;
-      const size_t line_no = card.line_no;
-      const std::string head = lower(toks[0]);
+/// The value grammar of parse_value(); false for anything else, including
+/// results that are not finite.
+bool scan_value(std::string_view token, double& out) {
+  const char* p = token.data();
+  const char* const end = p + token.size();
+  const char* number = p;
+  if (p < end && (*p == '+' || *p == '-')) ++p;
+  if (number < end && *number == '+') ++number;  // from_chars takes no '+'
+  const char* const mantissa = p;
+  while (p < end && is_digit(*p)) ++p;
+  ptrdiff_t digits = p - mantissa;
+  if (p < end && *p == '.') {
+    const char* const fraction = ++p;
+    while (p < end && is_digit(*p)) ++p;
+    digits += p - fraction;
+  }
+  if (digits == 0) return false;
+  if (p < end && to_lower(*p) == 'e') {
+    const char* q = p + 1;
+    if (q < end && (*q == '+' || *q == '-')) ++q;
+    if (q < end && is_digit(*q)) {
+      while (q < end && is_digit(*q)) ++q;
+      p = q;
+    }
+  }
+  double v = 0.0;
+  const auto [stop, ec] = std::from_chars(number, p, v);
+  if (ec != std::errc() || stop != p) return false;
 
-      if (head == ".port") {
-        if (!prefix.empty())
-          fail(line_no, ".port is only allowed at the top level");
-        if (toks.size() < 3 || toks.size() > 4)
-          fail(line_no, ".port expects: .port <name> n1 [n2]");
-        const Index n1 = node_of(toks[2], prefix, pin_map);
-        const Index n2 =
-            toks.size() == 4 ? node_of(toks[3], prefix, pin_map) : 0;
-        netlist.add_port(n1, n2, toks[1]);
-        continue;
-      }
-      if (head[0] == '.') fail(line_no, "unknown directive '" + toks[0] + "'");
-
-      switch (head[0]) {
-        case 'r': {
-          if (toks.size() != 4) fail(line_no, "R card expects: Rname n1 n2 value");
-          netlist.add_resistor(node_of(toks[1], prefix, pin_map),
-                               node_of(toks[2], prefix, pin_map),
-                               parse_value(toks[3]), prefix + toks[0]);
-          break;
-        }
-        case 'c': {
-          if (toks.size() != 4) fail(line_no, "C card expects: Cname n1 n2 value");
-          netlist.add_capacitor(node_of(toks[1], prefix, pin_map),
-                                node_of(toks[2], prefix, pin_map),
-                                parse_value(toks[3]), prefix + toks[0]);
-          break;
-        }
-        case 'l': {
-          if (toks.size() != 4) fail(line_no, "L card expects: Lname n1 n2 value");
-          const Index idx = netlist.add_inductor(
-              node_of(toks[1], prefix, pin_map),
-              node_of(toks[2], prefix, pin_map), parse_value(toks[3]),
-              prefix + toks[0]);
-          inductor_names[lower(prefix + toks[0])] = idx;
-          break;
-        }
-        case 'k': {
-          if (toks.size() != 4) fail(line_no, "K card expects: Kname L1 L2 k");
-          const auto i1 = inductor_names.find(lower(prefix + toks[1]));
-          const auto i2 = inductor_names.find(lower(prefix + toks[2]));
-          if (i1 == inductor_names.end() || i2 == inductor_names.end())
-            fail(line_no, "K card references unknown inductor");
-          netlist.add_mutual(i1->second, i2->second, parse_value(toks[3]),
-                             prefix + toks[0]);
-          break;
-        }
-        case 'i': {
-          if (toks.size() != 4) fail(line_no, "I card expects: Iname n1 n2 value");
-          netlist.add_current_source(node_of(toks[1], prefix, pin_map),
-                                     node_of(toks[2], prefix, pin_map),
-                                     parse_value(toks[3]), prefix + toks[0]);
-          break;
-        }
-        case 'x': {
-          // Xname n1 … nk subname
-          if (toks.size() < 3)
-            fail(line_no, "X card expects: Xname n1 ... nk subname");
-          const std::string subname = lower(toks.back());
-          const auto def = subckts.find(subname);
-          if (def == subckts.end())
-            fail(line_no, "unknown subcircuit '" + toks.back() + "'");
-          const size_t npins = def->second.pins.size();
-          if (toks.size() != npins + 2)
-            fail(line_no, "instance of '" + toks.back() + "' expects " +
-                              std::to_string(npins) + " pins");
-          // Map local pin names to the instance's global node names: the
-          // connecting nodes are resolved in the PARENT scope.
-          std::map<std::string, std::string> inst_map;
-          for (size_t k = 0; k < npins; ++k) {
-            const std::string& parent_tok = toks[1 + k];
-            const std::string parent_key = lower(parent_tok);
-            std::string global;
-            if (parent_key == "0" || parent_key == "gnd") {
-              global = "0";
-            } else {
-              const auto pin = pin_map.find(parent_key);
-              global = (pin != pin_map.end()) ? pin->second : prefix + parent_key;
-            }
-            // Register the node now so "0" maps to ground and others exist.
-            if (global != "0") node_of(parent_tok, prefix, pin_map);
-            inst_map[lower(def->second.pins[k])] = global;
-          }
-          // Ground inside the instance: a pin mapped to "0" resolves through
-          // node_of's special case using this sentinel mapping.
-          const std::string inst_prefix = prefix + lower(toks[0]) + ".";
-          process(def->second.body, inst_prefix, inst_map, depth + 1);
-          break;
-        }
-        default:
-          fail(line_no, "unknown element card '" + toks[0] + "'");
+  double scale = 1.0;
+  if (p < end) {
+    // SPICE semantics: "meg" = 1e6, bare "m" = 1e-3. The letters after the
+    // scale (a unit such as "pF") are ignored.
+    if (!std::all_of(p, end, is_alpha)) return false;
+    const std::string_view suffix(p, static_cast<size_t>(end - p));
+    if (suffix.size() >= 3 && same_name(suffix.substr(0, 3), "meg")) {
+      scale = 1e6;
+    } else {
+      switch (to_lower(suffix[0])) {
+        case 'f': scale = 1e-15; break;
+        case 'p': scale = 1e-12; break;
+        case 'n': scale = 1e-9; break;
+        case 'u': scale = 1e-6; break;
+        case 'm': scale = 1e-3; break;
+        case 'k': scale = 1e3; break;
+        case 'g': scale = 1e9; break;
+        case 't': scale = 1e12; break;
+        default: return false;
       }
     }
   }
+  out = v * scale;
+  return std::isfinite(out);
+}
+
+/// A name-table key: the text, and whether it outlives the table (it is a
+/// view into the netlist text) or is scratch that the table must copy.
+struct Key {
+  std::string_view text;
+  bool stable;
 };
+
+/// Open-addressing hash table from names to indices: the one lookup
+/// structure of the parser (nodes, inductors, subcircuits, pins). Keys
+/// are views — into the netlist text when a name is used as written,
+/// else into strings the table owns.
+class NameTable {
+ public:
+  /// Index of `key`, -1 when absent.
+  Index find(std::string_view key) const {
+    if (used_ == 0) return -1;
+    return slots_[position(key, hash(key))].value;
+  }
+
+  /// The value slot of `key`, -1 when the key is new. A new key is copied
+  /// unless it is stable. Valid until the next call.
+  Index& slot(Key key) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    const std::uint64_t h = hash(key.text);
+    Slot& s = slots_[position(key.text, h)];
+    if (s.key.empty()) {
+      s.key = key.stable ? key.text
+                         : std::string_view(owned_.emplace_back(key.text));
+      s.hash = h;
+      ++used_;
+    }
+    return s.value;
+  }
+
+ private:
+  struct Slot {
+    std::string_view key;  // empty = free
+    std::uint64_t hash = 0;
+    Index value = -1;
+  };
+
+  /// FNV-1a, keyed per process and finished with the murmur3 mixer, so
+  /// bucket collisions cannot be precomputed from netlist text.
+  static std::uint64_t hash(std::string_view key) {
+    static const std::uint64_t process_key = std::random_device{}();
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : key) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+    h ^= process_key;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 33);
+  }
+
+  size_t position(std::string_view key, std::uint64_t h) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.key.empty() || (s.hash == h && s.key == key)) return i;
+    }
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max<size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot& s : old)
+      if (!s.key.empty()) slots_[position(s.key, s.hash)] = s;
+  }
+
+  std::vector<Slot> slots_;
+  size_t used_ = 0;
+  std::deque<std::string> owned_;
+};
+
+/// Cards kept for later as token views: a .subckt body, or the top-level
+/// cards after a forward reference to a subcircuit.
+struct CardList {
+  struct Entry {
+    size_t begin, end;  // token range
+    size_t line;
+  };
+  std::vector<std::string_view> tokens;
+  std::vector<Entry> cards;
+
+  void add(const std::vector<std::string_view>& toks, size_t line) {
+    cards.push_back({tokens.size(), tokens.size() + toks.size(), line});
+    tokens.insert(tokens.end(), toks.begin(), toks.end());
+  }
+};
+
+constexpr Index kUnsized = -1;
+constexpr Index kSizing = -2;
+constexpr Index kCountCap = Index(1) << 60;  // saturation of card and byte counts
+
+/// Name bytes a subcircuit expansion may build per element of the element
+/// budget: room for a hierarchical name and two node keys each.
+constexpr Index kNameBytesPerElement = 64;
+
+Index saturating_add(Index a, Index b) { return std::min(a + b, kCountCap); }
+Index saturating_mul(Index a, Index b) {
+  return b != 0 && a > kCountCap / b ? kCountCap : a * b;
+}
+
+struct SubcktDef {
+  std::string_view name;
+  NameTable pins;  // lower-cased pin name → position
+  Index pin_count = 0;
+  CardList body;
+  /// Cards one instance expands to (elements and instances, saturating)
+  /// and its nesting height; kUnsized until first instanced.
+  Index cards = kUnsized;
+  int height = 0;
+  /// Bound on the bytes of names and keys one instance builds under a
+  /// prefix of length P: name_bytes + prefixed · P (saturating).
+  Index name_bytes = 0;
+  Index prefixed = 0;
+};
+
+/// One pass over the text: top-level cards are stamped as they are read,
+/// .subckt bodies are kept as token views and flattened per instance.
+class Parser {
+ public:
+  Parser(std::string_view text, Index max_elements)
+      : text_(text),
+        max_elements_(max_elements),
+        max_name_bytes_(saturating_mul(max_elements, kNameBytesPerElement)) {}
+
+  Netlist run() {
+    try {
+      reserve();
+      read();
+      nl_.validate();
+    } catch (const Error& e) {
+      if (e.code() == ErrorCode::kIo) throw;
+      fail(line_, e.what());  // netlist checks, e.g. a shorted element
+    }
+    return std::move(nl_);
+  }
+
+ private:
+  struct Scope {
+    std::string_view prefix;            // "" at top level, else "x1.x2."
+    const SubcktDef* def = nullptr;     // null at top level
+    const Index* pin_nodes = nullptr;   // parent-scope node of each pin
+  };
+
+  [[noreturn]] static void fail(size_t line, const std::string& msg) {
+    throw Error(ErrorCode::kIo,
+                "netlist parse error at line " + std::to_string(line) + ": " + msg,
+                {.stage = "parser", .index = static_cast<Index>(line)});
+  }
+
+  /// Sizes the element stores from the first letter of every line.
+  void reserve() {
+    Index r = 0, c = 0, l = 0, dot = 0;
+    const char* p = text_.data();
+    const char* const end = p + text_.size();
+    while (p < end) {
+      switch (to_lower(*p)) {
+        case 'r': ++r; break;
+        case 'c': ++c; break;
+        case 'l': ++l; break;
+        case '.': ++dot; break;
+        default: break;
+      }
+      const void* nl = std::memchr(p, '\n', static_cast<size_t>(end - p));
+      if (nl == nullptr) break;
+      p = static_cast<const char*>(nl) + 1;
+    }
+    nl_.reserve(r, c, dot, l);
+  }
+
+  void read() {
+    std::vector<std::string_view> toks;
+    SubcktDef* open = nullptr;
+    size_t open_line = 0;
+    const char* p = text_.data();
+    const char* const end = p + text_.size();
+    for (size_t line = 1; p < end; ++line) {
+      const void* nl = std::memchr(p, '\n', static_cast<size_t>(end - p));
+      const char* const stop = nl ? static_cast<const char*>(nl) : end;
+      toks.clear();
+      split(std::string_view(p, static_cast<size_t>(stop - p)), toks);
+      p = nl ? stop + 1 : end;
+      line_ = line;
+      if (toks.empty()) continue;
+      const std::string_view head = toks[0];
+
+      if (same_name(head, ".end")) {
+        if (open != nullptr) fail(line, ".end inside a .subckt block");
+        break;
+      }
+      if (same_name(head, ".subckt")) {
+        if (open != nullptr) fail(line, "nested .subckt definitions");
+        open = &define(toks, line);
+        open_line = line;
+        continue;
+      }
+      if (same_name(head, ".ends")) {
+        if (open == nullptr) fail(line, ".ends without .subckt");
+        if (toks.size() >= 2 && !same_name(toks[1], open->name))
+          fail(line, ".ends name does not match the open .subckt");
+        open = nullptr;
+        continue;
+      }
+      if (open != nullptr) {
+        open->body.add(toks, line);
+      } else if (tail_.cards.empty() && !forward_reference(toks, line)) {
+        card(toks.data(), toks.size(), line, Scope{});
+      } else {
+        tail_.add(toks, line);
+      }
+    }
+    if (open != nullptr)
+      fail(open_line, "unterminated .subckt '" + std::string(open->name) + "'");
+    for (const CardList::Entry& c : tail_.cards)
+      card(&tail_.tokens[c.begin], c.end - c.begin, c.line, Scope{});
+  }
+
+  SubcktDef& define(const std::vector<std::string_view>& toks, size_t line) {
+    if (toks.size() < 3)
+      fail(line, ".subckt expects: .subckt <name> pin1 [pin2 ...]");
+    Index& id = subckt_ids_.slot(key({}, toks[1]));
+    if (id >= 0) fail(line, "duplicate subcircuit '" + std::string(toks[1]) + "'");
+    id = static_cast<Index>(subckts_.size());
+    SubcktDef& def = subckts_.emplace_back();
+    def.name = toks[1];
+    def.pin_count = static_cast<Index>(toks.size()) - 2;
+    for (size_t k = 2; k < toks.size(); ++k)
+      def.pins.slot(key({}, toks[k])) = static_cast<Index>(k) - 2;
+    return def;
+  }
+
+  SubcktDef* find_subckt(std::string_view name) {
+    const Index id = subckt_ids_.find(key({}, name).text);
+    return id < 0 ? nullptr : &subckts_[static_cast<size_t>(id)];
+  }
+
+  /// True for a top-level X card whose subcircuit (or one it instances)
+  /// is not defined yet; it and every later top-level card then wait for
+  /// the end of the text.
+  bool forward_reference(const std::vector<std::string_view>& toks, size_t line) {
+    if (to_lower(toks[0][0]) != 'x' || toks.size() < 3) return false;
+    SubcktDef* def = find_subckt(toks.back());
+    return def == nullptr || !size(*def, line, 1, /*final=*/false);
+  }
+
+  /// Sizes one instance of `def` (memoized). Returns false when a
+  /// subcircuit it instances is not defined yet; `final` makes that an
+  /// error instead.
+  bool size(SubcktDef& def, size_t line, int depth, bool final) {
+    if (def.cards >= 0) return true;
+    if (def.cards == kSizing)
+      fail(line, "recursive subcircuit '" + std::string(def.name) + "'");
+    if (depth > kMaxInstanceDepth)
+      fail(line, "subcircuit instances nested deeper than 32");
+    def.cards = kSizing;
+    Index cards = 0, name_bytes = 0, prefixed = 0;
+    int height = 1;
+    for (const CardList::Entry& c : def.body.cards) {
+      cards = saturating_add(cards, 1);
+      const std::string_view* toks = &def.body.tokens[c.begin];
+      const size_t n = c.end - c.begin;
+      // A card builds at most one prefixed string per token but the last
+      // (its name, node, inductor or pin keys); an L or X card one more
+      // from its head (the inductor key, the nested instance's prefix).
+      const char kind = to_lower(toks[0][0]);
+      for (size_t k = 0; k + 1 < n; ++k)
+        name_bytes = saturating_add(name_bytes, static_cast<Index>(toks[k].size()));
+      prefixed = saturating_add(prefixed, static_cast<Index>(n) - 1);
+      if (kind == 'l' || kind == 'x') {
+        name_bytes = saturating_add(name_bytes, static_cast<Index>(toks[0].size()) + 1);
+        prefixed = saturating_add(prefixed, 1);
+      }
+      if (kind != 'x' || n < 3) continue;
+      SubcktDef* sub = find_subckt(toks[n - 1]);
+      if (sub == nullptr && final)
+        fail(c.line, "unknown subcircuit '" + std::string(toks[n - 1]) + "'");
+      if (sub == nullptr || !size(*sub, c.line, depth + 1, final)) {
+        def.cards = kUnsized;
+        return false;
+      }
+      cards = saturating_add(cards, sub->cards);
+      height = std::max(height, sub->height + 1);
+      // The sub-instance's strings carry this instance's prefix plus
+      // "<Xname>.".
+      const Index extra = static_cast<Index>(toks[0].size()) + 1;
+      name_bytes = saturating_add(
+          name_bytes, saturating_add(sub->name_bytes, saturating_mul(sub->prefixed, extra)));
+      prefixed = saturating_add(prefixed, sub->prefixed);
+    }
+    def.cards = cards;
+    def.height = height;
+    def.name_bytes = name_bytes;
+    def.prefixed = prefixed;
+    return true;
+  }
+
+  /// Pays for `cards` cards and `name_bytes` bytes of expanded names.
+  /// Top-level cards cost no name bytes: their names come from the text.
+  void charge(size_t line, Index cards, Index name_bytes) {
+    cards_ = saturating_add(cards_, cards);
+    if (cards_ > max_elements_)
+      fail(line, "netlist expands past the limit of " +
+                     std::to_string(max_elements_) + " elements");
+    name_bytes_ = saturating_add(name_bytes_, name_bytes);
+    if (name_bytes_ > max_name_bytes_)
+      fail(line, "subcircuit expansion builds more than " +
+                     std::to_string(max_name_bytes_) + " bytes of names (" +
+                     std::to_string(kNameBytesPerElement) +
+                     " per element of the limit)");
+  }
+
+  /// The table key of `tok` in the scope with `prefix`: the token itself
+  /// when it is a lower-case top-level name (stable), else the prefixed,
+  /// lower-cased copy in key_.
+  Key key(std::string_view prefix, std::string_view tok) {
+    if (prefix.empty() && !has_upper(tok)) return {tok, true};
+    key_.assign(prefix);
+    append_lower(key_, tok);
+    return {key_, false};
+  }
+
+  Index node(std::string_view tok, const Scope& scope) {
+    if (tok == "0" || same_name(tok, "gnd")) return 0;
+    const Key k = key(scope.prefix, tok);
+    if (scope.def != nullptr) {
+      const Index pin = scope.def->pins.find(k.text.substr(scope.prefix.size()));
+      if (pin >= 0) return scope.pin_nodes[pin];
+    }
+    Index& id = nodes_.slot(k);
+    if (id < 0) id = nl_.new_node();
+    return id;
+  }
+
+  double value(std::string_view tok, size_t line) {
+    double v = 0.0;
+    if (!scan_value(tok, v))
+      fail(line, "malformed or non-finite value '" + std::string(tok) + "'");
+    return v;
+  }
+
+  void card(const std::string_view* toks, size_t n, size_t line, const Scope& scope) {
+    line_ = line;
+    if (scope.def == nullptr) charge(line, 1, 0);
+    const std::string_view head = toks[0];
+    const char kind = to_lower(head[0]);
+    switch (kind) {
+      case '.':
+        if (!same_name(head, ".port"))
+          fail(line, "unknown directive '" + std::string(head) + "'");
+        port(toks, n, line, scope);
+        return;
+      case 'x':
+        instance(toks, n, line, scope);
+        return;
+      case 'r': case 'c': case 'l': case 'k': case 'i':
+        break;
+      default:
+        fail(line, "unknown element card '" + std::string(head) + "'");
+    }
+    if (n != 4) {
+      const char up = static_cast<char>(kind - 'a' + 'A');
+      fail(line, std::string(1, up) + " card expects: " + up +
+                     (kind == 'k' ? "name L1 L2 k" : "name n1 n2 value"));
+    }
+    std::string name(scope.prefix);
+    name += head;
+    if (kind == 'k') {
+      const Index l1 = inductors_.find(key(scope.prefix, toks[1]).text);
+      const Index l2 = inductors_.find(key(scope.prefix, toks[2]).text);
+      if (l1 < 0 || l2 < 0) fail(line, "K card references unknown inductor");
+      nl_.add_mutual(l1, l2, value(toks[3], line), std::move(name));
+      return;
+    }
+    const Index n1 = node(toks[1], scope);
+    const Index n2 = node(toks[2], scope);
+    const double v = value(toks[3], line);
+    switch (kind) {
+      case 'r': nl_.add_resistor(n1, n2, v, std::move(name)); break;
+      case 'c': nl_.add_capacitor(n1, n2, v, std::move(name)); break;
+      case 'i': nl_.add_current_source(n1, n2, v, std::move(name)); break;
+      default: {
+        Index& id = inductors_.slot(key(scope.prefix, head));
+        if (id >= 0) fail(line, "duplicate inductor '" + name + "'");
+        id = nl_.add_inductor(n1, n2, v, std::move(name));
+      }
+    }
+  }
+
+  void port(const std::string_view* toks, size_t n, size_t line, const Scope& scope) {
+    if (scope.def != nullptr) fail(line, ".port is only allowed at the top level");
+    if (n < 3 || n > 4) fail(line, ".port expects: .port <name> n1 [n2]");
+    const Index n1 = node(toks[2], scope);
+    const Index n2 = n == 4 ? node(toks[3], scope) : 0;
+    nl_.add_port(n1, n2, std::string(toks[1]));
+  }
+
+  void instance(const std::string_view* toks, size_t n, size_t line, const Scope& scope) {
+    if (n < 3) fail(line, "X card expects: Xname n1 ... nk subname");
+    SubcktDef* def = find_subckt(toks[n - 1]);
+    if (def == nullptr)
+      fail(line, "unknown subcircuit '" + std::string(toks[n - 1]) + "'");
+    const Index pins = static_cast<Index>(n) - 2;
+    if (pins != def->pin_count)
+      fail(line, "instance of '" + std::string(toks[n - 1]) + "' expects " +
+                     std::to_string(def->pin_count) + " pins");
+    if (scope.def == nullptr) {
+      // The whole expansion is paid for before any of it is stamped.
+      size(*def, line, 1, /*final=*/true);
+      if (def->height > kMaxInstanceDepth)
+        fail(line, "subcircuit instances nested deeper than 32");
+      charge(line, def->cards,
+             saturating_add(def->name_bytes,
+                            saturating_mul(def->prefixed,
+                                           static_cast<Index>(toks[0].size()) + 1)));
+    }
+    // Pins resolve in the parent scope, left to right.
+    std::vector<Index> pin_nodes(static_cast<size_t>(pins));
+    for (Index k = 0; k < pins; ++k)
+      pin_nodes[static_cast<size_t>(k)] = node(toks[1 + k], scope);
+    std::string prefix(scope.prefix);
+    append_lower(prefix, toks[0]);
+    prefix += '.';
+    const Scope inner{prefix, def, pin_nodes.data()};
+    for (const CardList::Entry& c : def->body.cards)
+      card(&def->body.tokens[c.begin], c.end - c.begin, c.line, inner);
+  }
+
+  std::string_view text_;
+  Index max_elements_;
+  Index max_name_bytes_;
+  Index cards_ = 0;  // top-level cards plus expansions, charged so far
+  Index name_bytes_ = 0;  // expanded name bytes, charged so far
+  size_t line_ = 0;  // line being read or stamped, for converted errors
+  Netlist nl_;
+  NameTable nodes_, inductors_, subckt_ids_;
+  std::deque<SubcktDef> subckts_;
+  CardList tail_;
+  std::string key_;  // scratch for prefixed / lower-cased keys
+};
+
+std::string read_all(std::istream& in) {
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk), in.gcount() > 0)
+    text.append(chunk, static_cast<size_t>(in.gcount()));
+  return text;
+}
 
 }  // namespace
 
-double parse_value(const std::string& token) {
-  require(!token.empty(), "parse_value: empty token");
-  const std::string t = lower(token);
-  size_t pos = 0;
+double parse_value(std::string_view token) {
   double v = 0.0;
-  try {
-    v = std::stod(t, &pos);
-  } catch (const std::exception&) {
-    throw Error(ErrorCode::kIo, "parse_value: malformed number '" + token + "'",
+  if (!scan_value(token, v))
+    throw Error(ErrorCode::kIo,
+                "parse_value: malformed or non-finite value '" +
+                    std::string(token) + "'",
                 {.stage = "parser"});
-  }
-  const std::string suffix = t.substr(pos);
-  if (suffix.empty()) return v;
-  // SPICE semantics: "meg" = 1e6, bare "m" = 1e-3. Alphabetic tail after
-  // the scale letter (unit names like "pF") is ignored, SPICE-style.
-  if (suffix.rfind("meg", 0) == 0) return v * 1e6;
-  switch (suffix[0]) {
-    case 'f': return v * 1e-15;
-    case 'p': return v * 1e-12;
-    case 'n': return v * 1e-9;
-    case 'u': return v * 1e-6;
-    case 'm': return v * 1e-3;
-    case 'k': return v * 1e3;
-    case 'g': return v * 1e9;
-    case 't': return v * 1e12;
-    default:
-      throw Error(ErrorCode::kIo,
-                  "parse_value: unknown suffix '" + suffix + "' in '" + token + "'",
-                  {.stage = "parser"});
-  }
+  return v;
 }
 
-Netlist parse_netlist(std::istream& in) {
-  // ---- Pass 1: tokenize, split into subckt definitions and main body. --
-  std::map<std::string, SubcktDef> subckts;
-  std::vector<Card> main_body;
-  SubcktDef* open_def = nullptr;
-
-  std::string line;
-  size_t line_no = 0;
-  bool ended = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (ended) break;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '*' || line[first] == ';') continue;
-    auto toks = tokenize(line.substr(first));
-    if (toks.empty()) continue;
-    const std::string head = lower(toks[0]);
-
-    if (head == ".end") {
-      if (open_def != nullptr) fail(line_no, ".end inside a .subckt block");
-      ended = true;
-      continue;
-    }
-    if (head == ".subckt") {
-      if (open_def != nullptr) fail(line_no, "nested .subckt definitions");
-      if (toks.size() < 3)
-        fail(line_no, ".subckt expects: .subckt <name> pin1 [pin2 ...]");
-      SubcktDef def;
-      def.name = lower(toks[1]);
-      for (size_t k = 2; k < toks.size(); ++k) def.pins.push_back(lower(toks[k]));
-      if (subckts.count(def.name))
-        fail(line_no, "duplicate subcircuit '" + toks[1] + "'");
-      open_def = &subckts.emplace(def.name, std::move(def)).first->second;
-      continue;
-    }
-    if (head == ".ends") {
-      if (open_def == nullptr) fail(line_no, ".ends without .subckt");
-      if (toks.size() >= 2 && lower(toks[1]) != open_def->name)
-        fail(line_no, ".ends name does not match the open .subckt");
-      open_def = nullptr;
-      continue;
-    }
-    Card card{std::move(toks), line_no};
-    if (open_def != nullptr)
-      open_def->body.push_back(std::move(card));
-    else
-      main_body.push_back(std::move(card));
-  }
-  require(open_def == nullptr, "netlist parse error: unterminated .subckt");
-
-  // ---- Pass 2: flatten. ----
-  Netlist nl;
-  std::map<std::string, Index> nodes;
-  std::map<std::string, Index> inductor_names;
-  Flattener flattener{nl, nodes, inductor_names, subckts};
-  flattener.process(main_body, "", {}, 0);
-  nl.validate();
+Netlist parse_netlist(std::string_view text, Index max_elements) {
+  obs::ScopedTimer span("circuit.parse");
+  Netlist nl = Parser(text, max_elements).run();
+  span.arg("bytes", static_cast<Index>(text.size()));
+  span.arg("elements", nl.element_count());
+  span.arg("nodes", nl.node_count());
   return nl;
 }
 
-Netlist parse_netlist(const std::string& text) {
-  std::istringstream in(text);
-  return parse_netlist(in);
+Netlist parse_netlist(std::istream& in, Index max_elements) {
+  return parse_netlist(read_all(in), max_elements);
 }
 
-Netlist parse_netlist_file(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "parse_netlist_file: cannot open '" + path + "'");
-  return parse_netlist(in);
+Netlist parse_netlist_file(const std::string& path, Index max_elements) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in)
+    throw Error(ErrorCode::kIo, "parse_netlist_file: cannot open '" + path + "'",
+                {.stage = "parser"});
+  return parse_netlist(in, max_elements);
 }
 
 namespace {
+
 
 void write_cards(std::ostream& out, const Netlist& netlist) {
   for (const auto& r : netlist.resistors())

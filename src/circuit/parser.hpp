@@ -14,25 +14,39 @@
 //   .end                           optional terminator
 //
 // Node identifiers are arbitrary tokens; "0" and "gnd" map to the datum
-// node. The writer emits the same dialect, so write→parse round-trips.
+// node. Other nodes are numbered 1, 2, … in order of first appearance,
+// left to right within a card. The writer emits the same dialect, so
+// write→parse round-trips.
 #pragma once
 
 #include <iosfwd>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "circuit/netlist.hpp"
 
 namespace sympvl {
 
-/// Parses a netlist from text. Throws sympvl::Error with a line number on
-/// malformed input.
-Netlist parse_netlist(const std::string& text);
+/// Default element budget of the parsers: no limit.
+inline constexpr Index kUnlimitedElements = std::numeric_limits<Index>::max();
 
-/// Parses a netlist from a stream.
-Netlist parse_netlist(std::istream& in);
+/// Parses a netlist from text. Every failure — malformed input, a bad
+/// element value, a subcircuit expansion past `max_elements` cards —
+/// throws sympvl::Error with code kIo, stage "parser" and the line number
+/// as the context index. The budget counts each element and each
+/// subcircuit instance the flattener would emit, and also bounds the
+/// bytes of the prefixed names and keys an expansion builds at 64 per
+/// element of it. Both are checked before an instance is expanded.
+Netlist parse_netlist(std::string_view text,
+                      Index max_elements = kUnlimitedElements);
+
+/// Reads the stream to its end, then parses it as parse_netlist(text).
+Netlist parse_netlist(std::istream& in, Index max_elements = kUnlimitedElements);
 
 /// Reads and parses a netlist file.
-Netlist parse_netlist_file(const std::string& path);
+Netlist parse_netlist_file(const std::string& path,
+                           Index max_elements = kUnlimitedElements);
 
 /// Serializes `netlist` in the dialect above (nodes as integers, datum "0").
 std::string write_netlist(const Netlist& netlist, const std::string& title = "");
@@ -45,8 +59,10 @@ std::string write_subckt(const Netlist& netlist, const std::string& name,
                          const std::string& title = "");
 
 /// Parses an engineering-notation value: 4.7k, 100n, 2meg, 1e-12, 3p...
-/// Recognized suffixes: f p n u m k meg g t (SPICE semantics, case
-/// insensitive). Throws on malformed numbers.
-double parse_value(const std::string& token);
+/// Grammar: [+-] digits [. digits] [e [+-] digits] [suffix], where the
+/// suffix is letters whose head is a scale (f p n u m k meg g t, SPICE
+/// semantics, case insensitive) and whose tail (a unit such as "F") is
+/// ignored. The result must be finite. Throws Error(kIo) otherwise.
+double parse_value(std::string_view token);
 
 }  // namespace sympvl

@@ -46,23 +46,22 @@ void report_json(std::ostream& out, const SympvlReport& r) {
 }  // namespace
 
 Daemon::Daemon(DaemonOptions options)
-    : options_(options),
-      registry_(options.registry_capacity_bytes),
+    : registry_(options.registry_capacity_bytes),
       batcher_(SweepBatcher::Config{options.batch_window_us,
                                     options.batch_max}),
-      started_(std::chrono::steady_clock::now()) {}
+      started_(std::chrono::steady_clock::now()) {
+  http_.port = options.http_port;
+  http_.unix_path = options.unix_path;
+  http_.workers = options.http_workers;
+}
 
 Daemon::~Daemon() { stop(); }
 
 void Daemon::start() {
   require(server_ == nullptr, ErrorCode::kInvalidArgument,
           "Daemon::start called twice", {.stage = "serve"});
-  HttpServer::Config config;
-  config.port = options_.http_port;
-  config.unix_path = options_.unix_path;
-  config.workers = options_.http_workers;
   server_ = std::make_unique<HttpServer>(
-      config, [this](const HttpRequest& r) { return handle_http(r); });
+      http_, [this](const HttpRequest& r) { return handle_http(r); });
   server_->start();
 }
 
@@ -151,7 +150,11 @@ RomRegistry::EntryPtr Daemon::resolve_model(const Request& request,
   return registry_.acquire(
       key,
       [&] {
-        const Netlist netlist = parse_netlist(request.netlist);
+        // The most cards a flat body of the largest accepted size can
+        // hold ("R a b 1\n" is 8 bytes); subcircuit expansion past it is
+        // a coded parser error, raised before expanding.
+        const Netlist netlist =
+            parse_netlist(request.netlist, http_.max_body_bytes / 8);
         return reduce(netlist, request.options);
       },
       was_hit, was_shared);

@@ -96,7 +96,9 @@ class Daemon {
   RomRegistry::EntryPtr resolve_model(const Request& request, bool* was_hit,
                                       bool* was_shared);
 
-  DaemonOptions options_;
+  /// The HTTP server's settings; its body cap also sets the element
+  /// budget of inline netlists, also when handle() is called directly.
+  HttpServer::Config http_;
   RomRegistry registry_;
   SweepBatcher batcher_;
   std::unique_ptr<HttpServer> server_;

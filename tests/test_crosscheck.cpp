@@ -17,8 +17,11 @@
 namespace sympvl {
 namespace {
 
+// Both fields are 8 bytes wide so the struct has no padding: gtest prints
+// the raw bytes of a parameter without a PrintTo into the test name, and
+// uninitialised padding would make those names differ from run to run.
 struct CrossCase {
-  unsigned seed;
+  Index seed;
   Index nodes;
 };
 
@@ -26,7 +29,8 @@ class CrossCheck : public testing::TestWithParam<CrossCase> {};
 
 TEST_P(CrossCheck, AllMethodsConvergeToExactSiso) {
   const auto [seed, nodes] = GetParam();
-  const Netlist nl = random_rc({.nodes = nodes, .ports = 1, .seed = seed});
+  const Netlist nl = random_rc(
+      {.nodes = nodes, .ports = 1, .seed = static_cast<unsigned>(seed)});
   const MnaSystem sys = build_mna(nl);
   const Index n = std::min<Index>(nodes, 24);  // deep enough to converge
 
@@ -64,7 +68,8 @@ TEST_P(CrossCheck, SympvlAndArnoldiShareKrylovAccuracy) {
   // models agree with each other far more tightly than either agrees with
   // the exact answer at low order.
   const auto [seed, nodes] = GetParam();
-  const Netlist nl = random_rc({.nodes = nodes, .ports = 2, .seed = seed + 500});
+  const Netlist nl = random_rc(
+      {.nodes = nodes, .ports = 2, .seed = static_cast<unsigned>(seed + 500)});
   const MnaSystem sys = build_mna(nl);
   SympvlOptions sopt;
   sopt.order = 8;

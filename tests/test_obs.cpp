@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "circuit/mna.hpp"
+#include "circuit/parser.hpp"
 #include "mor/sympvl.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -102,6 +104,32 @@ TEST(Obs, DisabledRecordsNothing) {
   obs::counter("test.disabled_counter").add(3.0);
   EXPECT_TRUE(obs::snapshot_events().empty());
   EXPECT_EQ(obs::counter("test.disabled_counter").value(), 0.0);
+}
+
+TEST(Obs, ParseAndMnaSpansRecorded) {
+  const std::string text = "R1 a 0 1k\nC1 a 0 1p\nR2 a b 2k\n.port p a\n";
+  {
+    ObsGuard guard(false);
+    build_mna(parse_netlist(text));
+    EXPECT_TRUE(obs::snapshot_events().empty());
+  }
+  ObsGuard guard(true);
+  build_mna(parse_netlist(text));
+  const auto events = obs::snapshot_events();
+  ASSERT_EQ(count_events(events, "circuit.parse", 'X'), 1);
+  EXPECT_EQ(count_events(events, "circuit.mna", 'X'), 1);
+  for (const auto& e : events) {
+    if (std::strcmp(e.name, "circuit.parse") != 0) continue;
+    const obs::Arg* bytes = find_arg(e, "bytes");
+    const obs::Arg* elements = find_arg(e, "elements");
+    const obs::Arg* nodes = find_arg(e, "nodes");
+    ASSERT_NE(bytes, nullptr);
+    ASSERT_NE(elements, nullptr);
+    ASSERT_NE(nodes, nullptr);
+    EXPECT_EQ(bytes->num, static_cast<double>(text.size()));
+    EXPECT_EQ(elements->num, 3.0);
+    EXPECT_EQ(nodes->num, 3.0);  // datum, a, b
+  }
 }
 
 TEST(Obs, ResetClearsEventsAndCounters) {

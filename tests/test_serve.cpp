@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "circuit/parser.hpp"
+#include "netlist_bomb.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "obs/json.hpp"
@@ -437,6 +438,40 @@ TEST(ServeDaemon, StrictSweepFailsOnBadPoint) {
   EXPECT_NE(inline_sweep.find("\"ok\":true"), std::string::npos)
       << inline_sweep;
   EXPECT_NE(inline_sweep.find("\"cached\":true"), std::string::npos);
+}
+
+TEST(ServeDaemon, ExpansionBombGetsACodedReplyFast) {
+  Daemon daemon({});
+  const std::string rom = rom_of(daemon.handle(reduce_body(kRcNetlist)));
+  for (const int levels : {6, 9}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string r = daemon.handle(reduce_body(expansion_bomb(levels)));
+    const double s = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - t0).count();
+    EXPECT_NE(r.find("\"ok\":false"), std::string::npos) << r;
+    EXPECT_NE(r.find("\"code\":\"io\""), std::string::npos) << r;
+    EXPECT_NE(r.find("\"stage\":\"parser\""), std::string::npos) << r;
+    EXPECT_NE(r.find("limit of 2097152 elements"), std::string::npos) << r;
+    EXPECT_LT(s, 0.25) << levels << " levels";
+  }
+  {
+    // Under the card budget, but a 1 MB instance name would prefix 10^5
+    // expanded names.
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string r = daemon.handle(
+        reduce_body(expansion_bomb(5, "X" + std::string(1 << 20, 'a'))));
+    const double s = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - t0).count();
+    EXPECT_NE(r.find("\"code\":\"io\""), std::string::npos) << r.substr(0, 300);
+    EXPECT_NE(r.find("bytes of names"), std::string::npos) << r.substr(0, 300);
+    EXPECT_LT(s, 0.25);
+  }
+  // The daemon still answers a sweep.
+  const std::string sw = daemon.handle(
+      "{\"v\":1,\"op\":\"sweep\",\"rom\":\"" + rom +
+      "\",\"frequencies_hz\":[1e6,1e9]}");
+  EXPECT_NE(sw.find("\"ok\":true"), std::string::npos) << sw;
+  EXPECT_NE(sw.find("\"failed\":0"), std::string::npos) << sw;
 }
 
 // ---- Sockets end to end ------------------------------------------------

@@ -24,6 +24,18 @@ NETLIST = "R1 in mid 1k\nR2 mid 0 1k\nC1 mid 0 10p\n.port in in\n.end\n"
 failures = []
 
 
+def expansion_bomb(levels, top="X1"):
+    """`levels` subcircuits, each instancing the one below ten times, over
+    a one-resistor leaf: 10**levels resistors once flattened. `top` names
+    the top-level instance."""
+    text = ".subckt s0 a b\nR1 a b 1\n.ends\n"
+    for k in range(1, levels + 1):
+        text += f".subckt s{k} a b\n"
+        text += "".join(f"X{i} a b s{k - 1}\n" for i in range(1, 11))
+        text += ".ends\n"
+    return text + f"{top} in 0 s{levels}\n.port p in\n.end\n"
+
+
 def check(cond, what):
     tag = "ok" if cond else "FAIL"
     print(f"[{tag}] {what}")
@@ -114,6 +126,31 @@ def main():
               "unknown rom key is a coded error")
         status, r = api(conn, {"v": 1, "op": "status"})
         check(r["ok"], "daemon still serves after the error burst")
+
+        # ---- subcircuit expansion bomb: coded reply in bounded time ----
+        t0 = time.monotonic()
+        status, r = api(conn, {"v": 1, "op": "reduce",
+                               "netlist": expansion_bomb(6),
+                               "options": {"order": 8}})
+        elapsed_ms = 1e3 * (time.monotonic() - t0)
+        check(not r["ok"] and r["error"]["code"] == "io"
+              and r["error"]["stage"] == "parser"
+              and "limit of" in r["error"]["message"],
+              "six-level subcircuit bomb gets a coded parser error")
+        check(elapsed_ms < 250, f"bomb answered in {elapsed_ms:.1f} ms (< 250)")
+        t0 = time.monotonic()
+        status, r = api(conn, {"v": 1, "op": "reduce",
+                               "netlist": expansion_bomb(5, "X" + "a" * (1 << 20)),
+                               "options": {"order": 8}})
+        elapsed_ms = 1e3 * (time.monotonic() - t0)
+        check(not r["ok"] and r["error"]["code"] == "io"
+              and "bytes of names" in r["error"]["message"],
+              "five-level bomb under a 1 MB instance name gets a coded parser error")
+        check(elapsed_ms < 250, f"long-named bomb answered in {elapsed_ms:.1f} ms (< 250)")
+        status, r = api(conn, {"v": 1, "op": "sweep", "rom": rom,
+                               "frequencies_hz": [1e6, 1e9]})
+        check(r["ok"] and r["result"]["failed"] == 0,
+              "a normal sweep still succeeds after the bomb")
 
         # ---- HTTP surface: healthz, metrics, 404/405 ----
         conn.request("GET", "/healthz")
