@@ -143,6 +143,5 @@ void print_tables() {
 
 int main() {
   print_tables();
-  obs::flush();
   return 0;
 }

@@ -117,6 +117,5 @@ void print_tables() {
 
 int main() {
   print_tables();
-  sympvl::obs::flush();
   return 0;
 }

@@ -96,8 +96,8 @@ inline void json_emit(
 }
 
 /// Standard main body: print the experiment tables, then run benchmarks.
-/// Flushes any pending obs sinks (SYMPVL_TRACE / SYMPVL_STATS) before
-/// exit so instrumented benches always produce complete trace files.
+/// The obs sinks (SYMPVL_TRACE / SYMPVL_STATS / SYMPVL_METRICS) are
+/// written by the atexit hook the environment installs.
 #define SYMPVL_BENCH_MAIN(print_tables_fn)                         \
   int main(int argc, char** argv) {                                \
     print_tables_fn();                                             \
@@ -105,7 +105,6 @@ inline void json_emit(
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     ::benchmark::RunSpecifiedBenchmarks();                         \
     ::benchmark::Shutdown();                                       \
-    ::sympvl::obs::flush();                                        \
     return 0;                                                      \
   }
 

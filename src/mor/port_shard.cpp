@@ -11,13 +11,10 @@
 #include "fault.hpp"
 #include "mor/pencil.hpp"
 #include "mor/rational.hpp"
+#include "mor/reduce_detail.hpp"
 #include "obs/memstat.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
-
-// The 1-shard fallback intentionally delegates to the deprecated
-// monolithic driver: it is the primitive the sharded path wraps.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace sympvl {
 
@@ -329,8 +326,8 @@ std::vector<Index> partition_ports(const MnaSystem& sys, Index shards,
   return electrical_partition(sys, shards);
 }
 
-ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
-                                          const SympvlOptions& options) {
+ReduceResult detail::sharded_sympvl_reduce(const MnaSystem& sys,
+                                           const SympvlOptions& options) {
   const auto t_total = std::chrono::steady_clock::now();
   const Index p = sys.port_count();
   require(p >= 1, ErrorCode::kInvalidArgument,
@@ -338,20 +335,15 @@ ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
   require(options.order >= 1, ErrorCode::kInvalidArgument,
           "sharded_sympvl_reduce: order must be >= 1");
 
-  ShardedSympvlResult out;
+  ReduceResult out;
   // Never more shards than requested Lanczos vectors: every shard must
   // sustain at least a 1-vector process.
   const Index shards = std::min<Index>(
       resolve_shard_count(options.shard, p), std::max<Index>(options.order, 1));
 
-  // ---- 1 shard: the monolithic driver IS the implementation. ----
+  // ---- 1 shard: monolithic SyMPVL IS the implementation. ----
   if (shards <= 1) {
-    ReductionResult<ReducedModel> mono = run_sympvl(sys, options);
-    out.used_monolithic = true;
-    out.monolithic = std::move(mono.model);
-    out.report = std::move(mono.report);
-    out.status = mono.status;
-    out.diagnostics = std::move(mono.diagnostics);
+    out = reduce_sympvl(sys, options);
     out.shard.shards = 1;
     out.shard.clustering = "monolithic";
     out.shard.port_to_shard.assign(static_cast<size_t>(p), 0);
@@ -679,9 +671,10 @@ ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
         for (Index jj = i + 1; jj < n_total; ++jj)
           cw(i, jj) = cw(jj, i) = 0.5 * (cw(i, jj) + cw(jj, i));
       solve_lower_inplace(chol, &br);
-      out.stitched = ArnoldiModel(Mat::identity(n_total), std::move(cw),
-                                  std::move(br), sys.variable, sys.s_prefactor,
-                                  s0_used);
+      out.model = MacroModel(ArnoldiModel(Mat::identity(n_total),
+                                          std::move(cw), std::move(br),
+                                          sys.variable, sys.s_prefactor,
+                                          s0_used));
       out.shard.stitched_order = n_total;
     } else {
       // Robust path (indefinite J, or near-dependent shard spans): map
@@ -713,7 +706,7 @@ ShardedSympvlResult sharded_sympvl_reduce(const MnaSystem& sys,
       out.shard.stitch_dropped =
           n_total - static_cast<Index>(basis.size());
       out.shard.stitched_order = static_cast<Index>(basis.size());
-      out.stitched = congruence_project(sys, basis);
+      out.model = MacroModel(congruence_project(sys, basis));
     }
     out.shard.stitch_bytes = stitch_charge.bytes();
   }

@@ -34,16 +34,9 @@ class ModalModel {
   SVariable variable() const { return variable_; }
   int s_prefactor() const { return s_prefactor_; }
 
-  /// Physical Z(s).
+  /// Physical Z(s) (sweep a grid with sympvl::sweep of
+  /// sim/sweep_api.hpp).
   CMat eval(Complex s) const;
-
-  /// Sweep along the jω axis (one p×p matrix per frequency in Hz),
-  /// evaluated in parallel across frequency points.
-  /// \deprecated Prefer the unified sympvl::sweep(model, grid, options)
-  /// of sim/sweep_api.hpp, which adds per-point fault containment and
-  /// returns the same SweepResult as every other sweep target.
-  [[deprecated("use sympvl::sweep(model, grid, options) from sim/sweep_api.hpp")]]
-  std::vector<CMat> sweep(const Vec& frequencies_hz) const;
 
   /// Poles mapped to the physical s-plane (σ for kS; ±√σ for kSSquared).
   CVec physical_poles() const;

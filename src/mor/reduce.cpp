@@ -1,13 +1,14 @@
 #include "mor/reduce.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "circuit/topology.hpp"
 #include "mor/pencil.hpp"
-
-// The facade intentionally dispatches to the deprecated per-method
-// run_* drivers: they are the primitives reduce() is built on.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "mor/reduce_detail.hpp"
+#include "obs/obs.hpp"
 
 namespace sympvl {
 
@@ -22,17 +23,145 @@ Opt slice_common(const ReduceOptions& options) {
   return out;
 }
 
-template <typename Model>
-ReduceResult from_driver(ReductionResult<Model> r) {
-  ReduceResult out;
-  if (r.ok()) out.model = MacroModel(std::move(r.model));
-  out.report = std::move(r.report);
-  out.status = r.status;
-  out.diagnostics = std::move(r.diagnostics);
-  return out;
+// Flattens the report's recovery trail into diagnostics: every failed
+// factorization rung becomes an issue, and a Lanczos breakdown post-mortem
+// becomes one kBreakdown issue.
+void harvest_report(const SympvlReport& report,
+                    std::vector<ReductionIssue>* out) {
+  for (const FactorAttemptRecord& rec : report.factor_attempts) {
+    if (rec.success) continue;
+    ReductionIssue issue;
+    issue.code =
+        rec.code == ErrorCode::kUnknown ? ErrorCode::kSingular : rec.code;
+    issue.stage = "factor." + rec.method;
+    issue.message = rec.detail.empty()
+                        ? ("factorization attempt failed (" + rec.method +
+                           ", shift=" + std::to_string(rec.shift) + ")")
+                        : rec.detail;
+    issue.value = rec.shift;
+    issue.condition = rec.condest;
+    out->push_back(std::move(issue));
+  }
+  if (report.breakdown) {
+    ReductionIssue issue;
+    issue.code = ErrorCode::kBreakdown;
+    issue.stage = "lanczos";
+    issue.message = report.lanczos_diagnosis.message;
+    issue.index = report.lanczos_diagnosis.cluster;
+    issue.value = report.lanczos_diagnosis.min_abs_eig;
+    out->push_back(std::move(issue));
+  }
+}
+
+// Uniform status rule: breakdown truncation → kTruncated; stopping short
+// of the request because the Krylov space is exhausted means the model is
+// EXACT, which stays kOk.
+ReductionStatus classify(const SympvlReport& report, Index requested) {
+  if (report.breakdown) return ReductionStatus::kTruncated;
+  if (report.achieved_order < requested && !report.exhausted)
+    return ReductionStatus::kTruncated;
+  return ReductionStatus::kOk;
+}
+
+// The one driver.result instant per reduce() call, plus the stderr
+// report of a degraded or recovered run when verbosity asks for it.
+void finish(const char* method, int verbosity, const ReduceResult& res) {
+  obs::instant(
+      "driver.result",
+      {obs::arg("driver", method),
+       obs::arg("status", reduction_status_name(res.status)),
+       obs::arg("achieved_order", res.report.achieved_order),
+       obs::arg("issues", double(res.diagnostics.size())),
+       obs::arg("recovered", res.report.recovered ? 1.0 : 0.0)});
+  if (verbosity > 0 &&
+      (res.status != ReductionStatus::kOk || res.report.recovered ||
+       !res.diagnostics.empty())) {
+    std::fprintf(stderr, "[sympvl] %s: status=%s order=%lld issues=%zu\n",
+                 method, reduction_status_name(res.status),
+                 static_cast<long long>(res.report.achieved_order),
+                 res.diagnostics.size());
+    for (const ReductionIssue& issue : res.diagnostics)
+      std::fprintf(stderr, "[sympvl]   [%s @ %s] %s\n",
+                   error_code_name(issue.code), issue.stage.c_str(),
+                   issue.message.c_str());
+  }
+}
+
+// Runs one throwing primitive under the uniform status rule.
+// `primitive(&report)` returns the model and fills what it can of the
+// report; a thrown Error becomes kFailed, listed ahead of the recovery
+// trail the report already holds.
+template <typename Primitive>
+ReduceResult contain(Index requested, Primitive&& primitive) {
+  ReduceResult res;
+  try {
+    res.model = MacroModel(primitive(&res.report));
+    harvest_report(res.report, &res.diagnostics);
+    res.status = classify(res.report, requested);
+  } catch (const Error& ex) {
+    res.status = ReductionStatus::kFailed;
+    harvest_report(res.report, &res.diagnostics);
+    res.diagnostics.insert(res.diagnostics.begin(),
+                           ReductionIssue::from_error(ex));
+  }
+  return res;
+}
+
+ReduceResult dispatch(const MnaSystem& sys, const ReduceOptions& options) {
+  const Index requested = std::min(options.order, sys.size());
+  switch (options.method) {
+    case ReduceMethod::kSympvl:
+      return detail::reduce_sympvl(sys, options);
+    case ReduceMethod::kShardedSympvl:
+      return detail::sharded_sympvl_reduce(sys, options);
+    case ReduceMethod::kSypvl:
+      return contain(requested, [&](SympvlReport* report) {
+        return sypvl_reduce(sys, options, report);
+      });
+    case ReduceMethod::kPvl: {
+      const PvlOptions popt = slice_common<PvlOptions>(options);
+      return contain(requested, [&](SympvlReport* report) {
+        LanczosDiagnosis diagnosis;
+        PvlModel model = pvl_reduce_entry(sys, options.pvl_row,
+                                          options.pvl_col, popt, &diagnosis);
+        report->s0_used = model.shift();
+        report->achieved_order = model.order();
+        report->lanczos_diagnosis = diagnosis;
+        report->breakdown = diagnosis.breakdown;
+        // PVL stopping short without a breakdown diagnosis means the
+        // Krylov space for this entry is exhausted (the scalar model is
+        // exact).
+        report->exhausted = !diagnosis.breakdown && model.order() < requested;
+        return model;
+      });
+    }
+    case ReduceMethod::kArnoldi: {
+      const ArnoldiOptions aopt = slice_common<ArnoldiOptions>(options);
+      return contain(requested, [&](SympvlReport* report) {
+        ArnoldiModel model = arnoldi_reduce(sys, aopt);
+        report->s0_used = model.shift();
+        report->achieved_order = model.order();
+        // Arnoldi stops short only when the block Krylov space deflates
+        // to nothing more — the projection then spans the full space
+        // (exact).
+        report->exhausted = model.order() < requested;
+        return model;
+      });
+    }
+  }
+  throw Error(ErrorCode::kInvalidArgument, "reduce: unknown method",
+              {.stage = "reduce"});
 }
 
 }  // namespace
+
+ReduceResult detail::reduce_sympvl(const MnaSystem& sys,
+                                   const SympvlOptions& options) {
+  return contain(std::min(options.order, sys.size()),
+                 [&](SympvlReport* report) {
+                   return sympvl_reduce(sys, options, report);
+                 });
+}
 
 Index MacroModel::order() const {
   if (const auto* m = as_reduced()) return m->order();
@@ -131,31 +260,9 @@ void validate(const ReduceOptions& options) {
 
 ReduceResult reduce(const MnaSystem& sys, const ReduceOptions& options) {
   validate(options);
-  switch (options.method) {
-    case ReduceMethod::kSympvl:
-      return from_driver(run_sympvl(sys, options));
-    case ReduceMethod::kShardedSympvl: {
-      ShardedSympvlResult r = sharded_sympvl_reduce(sys, options);
-      ReduceResult out;
-      if (r.ok())
-        out.model = r.used_monolithic ? MacroModel(std::move(r.monolithic))
-                                      : MacroModel(std::move(r.stitched));
-      out.report = std::move(r.report);
-      out.shard = std::move(r.shard);
-      out.status = r.status;
-      out.diagnostics = std::move(r.diagnostics);
-      return out;
-    }
-    case ReduceMethod::kSypvl:
-      return from_driver(run_sypvl(sys, options));
-    case ReduceMethod::kPvl:
-      return from_driver(run_pvl(sys, options.pvl_row, options.pvl_col,
-                                 slice_common<PvlOptions>(options)));
-    case ReduceMethod::kArnoldi:
-      return from_driver(run_arnoldi(sys, slice_common<ArnoldiOptions>(options)));
-  }
-  throw Error(ErrorCode::kInvalidArgument, "reduce: unknown method",
-              {.stage = "reduce"});
+  ReduceResult res = dispatch(sys, options);
+  finish(reduce_method_name(options.method), options.verbosity, res);
+  return res;
 }
 
 ReduceResult reduce(const Netlist& netlist, const ReduceOptions& options) {
@@ -177,6 +284,7 @@ ReduceResult reduce(const Netlist& netlist, const ReduceOptions& options) {
     ReduceResult out;
     out.status = ReductionStatus::kFailed;
     out.diagnostics.push_back(ReductionIssue::from_error(e));
+    finish(reduce_method_name(options.method), options.verbosity, out);
     return out;
   }
   return reduce(sys, opt);

@@ -227,8 +227,11 @@ std::string stats_summary();
 
 /// Writes the configured sinks: the Chrome trace JSON when a trace path
 /// is set, the stats summary when SYMPVL_STATS is set, the Prometheus
-/// document when SYMPVL_METRICS is set. Idempotent; also installed via
-/// atexit when a sink is configured from the environment.
+/// document when SYMPVL_METRICS is set. Not idempotent: the trace and
+/// metrics files are rewritten, but every call appends another stats
+/// summary to the SYMPVL_STATS sink. Installed via atexit when a sink is
+/// configured from the environment, so programs that rely on the
+/// environment should not call it again themselves.
 void flush();
 
 /// Writes the Chrome trace JSON for everything recorded so far to `path`

@@ -16,6 +16,7 @@
 namespace sympvl {
 
 class FactorCache;
+struct SweepOptions;
 
 /// Exact physical Z(s) = s^prefactor · Bᵀ (G + f(s)C)⁻¹ B at one complex
 /// frequency point.
@@ -23,8 +24,8 @@ CMat ac_z_matrix(const MnaSystem& sys, Complex s);
 
 /// Exact sweep over `frequencies_hz` along the jω axis (s = j·2πf).
 /// Returns one p×p matrix per frequency. All-or-nothing contract: throws
-/// Error(kSweepPointFailed) when any point fails; use
-/// AcSweepEngine::sweep for the per-point-contained SweepResult form.
+/// Error(kSweepPointFailed) when any point fails; use sympvl::sweep
+/// (sim/sweep_api.hpp) for the per-point-contained SweepResult form.
 std::vector<CMat> ac_sweep(const MnaSystem& sys, const Vec& frequencies_hz);
 
 /// Voltage-to-voltage transfer H(s) = V_out / V_in when port `drive` is
@@ -61,21 +62,17 @@ class AcSweepEngine {
   AcSweepEngine(const AcSweepEngine&) = delete;
   AcSweepEngine& operator=(const AcSweepEngine&) = delete;
 
-  /// Physical Z(s) at one complex frequency point.
+  /// Physical Z(s) at one complex frequency point. Thread-safe: the
+  /// sweep (sympvl::sweep of sim/sweep_api.hpp) calls it concurrently.
   CMat z_at(Complex s) const;
 
-  /// Sweep along the jω axis with the symbolic analysis amortized and
-  /// per-point fault containment: a frequency point whose pencil cannot
-  /// be factored (or that hits an injected fault) yields a NaN matrix and
-  /// a structured error record while every other point completes
-  /// unaffected — and bit-identical to an all-healthy sweep.
-  /// \deprecated Prefer the unified sympvl::sweep(engine, grid, options)
-  /// of sim/sweep_api.hpp; this member spelling is kept for
-  /// compatibility.
-  [[deprecated("use sympvl::sweep(engine, grid, options) from sim/sweep_api.hpp")]]
-  SweepResult sweep(const Vec& frequencies_hz) const;
-
  private:
+  // The sweep reads the system's size and port count for its span.
+  friend SweepResult sweep(const AcSweepEngine& engine,
+                           const Vec& frequencies_hz,
+                           const SweepOptions& options);
+  const MnaSystem& system() const;
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

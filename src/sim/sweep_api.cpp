@@ -3,6 +3,9 @@
 #include <cmath>
 #include <utility>
 
+#include "obs/obs.hpp"
+#include "parallel/thread_pool.hpp"
+
 namespace sympvl {
 
 namespace {
@@ -25,6 +28,24 @@ SweepResult finish(SweepResult res, const SweepOptions& options) {
   return res;
 }
 
+// The one sweep loop behind every overload: evaluates z_at(j·2πf) at each
+// grid point under the containment harness (static partition, so the
+// result is bit-identical for any thread count), records the failed-point
+// count on `span` when there is one, and applies the all-or-nothing
+// contract when requested.
+template <typename ZAt>
+SweepResult evaluate_points(const Vec& frequencies_hz, Index ports,
+                            const SweepOptions& options,
+                            obs::ScopedTimer* span, ZAt&& z_at) {
+  SweepResult res = detail::run_contained_sweep(
+      frequencies_hz, ports, ports, [&](Index k) {
+        return z_at(Complex(
+            0.0, 2.0 * M_PI * frequencies_hz[static_cast<size_t>(k)]));
+      });
+  if (span != nullptr) span->arg("failed_points", res.failed_count());
+  return finish(std::move(res), options);
+}
+
 }  // namespace
 
 void validate(const SweepOptions& options, const Vec& frequencies_hz) {
@@ -41,52 +62,48 @@ void validate(const SweepOptions& options, const Vec& frequencies_hz) {
   }
 }
 
-// The facade overloads below intentionally reach the deprecated member
-// sweeps — they ARE the migration target wrapping those members.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 SweepResult sweep(const AcSweepEngine& engine, const Vec& frequencies_hz,
                   const SweepOptions& options) {
   validate(options, frequencies_hz);
-  return finish(engine.sweep(frequencies_hz), options);
+  const MnaSystem& sys = engine.system();
+  obs::ScopedTimer span("ac.sweep");
+  span.arg("points", static_cast<Index>(frequencies_hz.size()));
+  span.arg("threads", num_threads());
+  span.arg("mna_size", sys.size());
+  return evaluate_points(frequencies_hz, sys.port_count(), options, &span,
+                         [&](Complex s) { return engine.z_at(s); });
 }
 
 SweepResult sweep(const ReducedModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options) {
   validate(options, frequencies_hz);
-  return finish(model.sweep(frequencies_hz), options);
+  obs::ScopedTimer span("model.sweep");
+  span.arg("points", static_cast<Index>(frequencies_hz.size()));
+  span.arg("order", model.order());
+  span.arg("threads", num_threads());
+  return evaluate_points(frequencies_hz, model.port_count(), options, &span,
+                         [&](Complex s) { return model.eval(s); });
 }
 
 SweepResult sweep(const ModalModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options) {
   validate(options, frequencies_hz);
-  const Index p = model.port_count();
-  SweepResult res =
-      detail::run_contained_sweep(frequencies_hz, p, p, [&](Index k) {
-        const double f = frequencies_hz[static_cast<size_t>(k)];
-        return model.eval(Complex(0.0, 2.0 * M_PI * f));
-      });
-  return finish(std::move(res), options);
+  return evaluate_points(frequencies_hz, model.port_count(), options, nullptr,
+                         [&](Complex s) { return model.eval(s); });
 }
 
 SweepResult sweep(const MnaSystem& sys, const Vec& frequencies_hz,
                   const SweepOptions& options) {
   validate(options, frequencies_hz);
-  const AcSweepEngine engine(sys, options.factor_cache);
-  return finish(engine.sweep(frequencies_hz), options);
+  return sweep(AcSweepEngine(sys, options.factor_cache), frequencies_hz,
+               options);
 }
 
 SweepResult sweep(const ArnoldiModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options) {
   validate(options, frequencies_hz);
-  const Index p = model.port_count();
-  SweepResult res =
-      detail::run_contained_sweep(frequencies_hz, p, p, [&](Index k) {
-        const double f = frequencies_hz[static_cast<size_t>(k)];
-        return model.eval(Complex(0.0, 2.0 * M_PI * f));
-      });
-  return finish(std::move(res), options);
+  return evaluate_points(frequencies_hz, model.port_count(), options, nullptr,
+                         [&](Complex s) { return model.eval(s); });
 }
 
 SweepResult sweep(const MacroModel& model, const Vec& frequencies_hz,
@@ -94,23 +111,14 @@ SweepResult sweep(const MacroModel& model, const Vec& frequencies_hz,
   require(!model.empty(), ErrorCode::kInvalidArgument,
           "sweep: empty MacroModel", ErrorContext{.stage = "sweep"});
   validate(options, frequencies_hz);
-  // Dispatch to the typed overloads so each model keeps its native sweep
-  // path (ReducedModel's containment harness included).
+  // The typed overloads keep each model's span (model.sweep for
+  // ReducedModel); PVL evaluates through MacroModel's 1×1 wrapping.
   if (const ReducedModel* m = model.as_reduced())
     return sweep(*m, frequencies_hz, options);
   if (const ArnoldiModel* m = model.as_arnoldi())
     return sweep(*m, frequencies_hz, options);
-  const PvlModel* m = model.as_pvl();
-  SweepResult res =
-      detail::run_contained_sweep(frequencies_hz, 1, 1, [&](Index k) {
-        const double f = frequencies_hz[static_cast<size_t>(k)];
-        CMat z(1, 1);
-        z(0, 0) = m->eval(Complex(0.0, 2.0 * M_PI * f));
-        return z;
-      });
-  return finish(std::move(res), options);
+  return evaluate_points(frequencies_hz, 1, options, nullptr,
+                         [&](Complex s) { return model.eval(s); });
 }
-
-#pragma GCC diagnostic pop
 
 }  // namespace sympvl

@@ -1,17 +1,11 @@
-// The unified frequency-sweep entry point.
-//
-// Historically each sweepable object spelled its own sweep:
-// AcSweepEngine::sweep and ReducedModel::sweep returned the contained
-// SweepResult while ModalModel::sweep returned a bare std::vector<CMat>
-// with no per-point containment. sympvl::sweep(target, grid, options)
-// is the single spelling over all of them — same argument order, same
-// SweepResult return (ModalModel evaluation gains the containment
-// harness on the way), plus an MnaSystem overload that stands up an
-// exact AcSweepEngine for one-shot sweeps.
-//
-// The member spellings remain for compatibility but are deprecated in
-// favor of these free functions; new code should not grow more
-// per-class sweep members.
+// The one frequency-sweep entry point: sympvl::sweep(target, grid,
+// options) over every sweepable object — the exact AcSweepEngine, an
+// MnaSystem (one-shot exact sweep), ReducedModel, ModalModel,
+// ArnoldiModel (Arnoldi baselines, multipoint/rational models, sharded
+// stitched models) and the MacroModel of reduce(). Every overload
+// evaluates Z(j·2πf) per grid point under the same per-point fault
+// containment and returns a SweepResult; the sweepable classes carry no
+// sweep member of their own.
 #pragma once
 
 #include "circuit/mna.hpp"
@@ -42,7 +36,10 @@ struct SweepOptions {
 void validate(const SweepOptions& options, const Vec& frequencies_hz);
 
 /// Exact AC sweep through an existing engine (symbolic analysis already
-/// amortized across calls).
+/// amortized across calls). A frequency point whose pencil cannot be
+/// factored (or that hits an injected fault) yields a NaN matrix and a
+/// structured error record while every other point completes unaffected
+/// — and bit-identical to an all-healthy sweep.
 SweepResult sweep(const AcSweepEngine& engine, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 
@@ -50,9 +47,7 @@ SweepResult sweep(const AcSweepEngine& engine, const Vec& frequencies_hz,
 SweepResult sweep(const ReducedModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 
-/// Modal (pole/residue) sweep. Unlike the deprecated
-/// ModalModel::sweep, failed evaluations are contained per point like
-/// every other target.
+/// Modal (pole/residue) sweep.
 SweepResult sweep(const ModalModel& model, const Vec& frequencies_hz,
                   const SweepOptions& options = {});
 

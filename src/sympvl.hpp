@@ -28,14 +28,13 @@
 #include "circuit/parser.hpp"
 #include "circuit/topology.hpp"
 
-// Reduction: the public facade (sympvl::reduce — the one entry point new
-// code should call), the per-method drivers underneath it, the
-// many-terminal port-sharding layer, and the shared option/report
+// Reduction: the public facade (sympvl::reduce — the one reduction entry
+// point), the per-method primitives it calls, the many-terminal
+// port-sharding telemetry and partitioning, and the shared option/report
 // surface.
 #include "mor/arnoldi.hpp"
 #include "mor/awe.hpp"
 #include "mor/balanced.hpp"
-#include "mor/driver.hpp"
 #include "mor/moments.hpp"
 #include "mor/multipoint.hpp"
 #include "mor/options.hpp"

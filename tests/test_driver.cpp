@@ -1,12 +1,9 @@
-// Unified driver API: run_sympvl / run_sypvl / run_pvl / run_arnoldi all
-// return a ReductionResult with a populated status, a uniform report and
-// structured diagnostics — and agree exactly with the legacy throwing
-// entry points on healthy inputs.
-// This suite deliberately exercises the deprecated run_* drivers —
-// they remain the supported per-method primitives under reduce().
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-#include "mor/driver.hpp"
+// Per-method status rules of the reduce() facade: every method returns
+// a ReduceResult with a populated status, a uniform report and structured
+// diagnostics — and agrees exactly with the throwing primitive it calls
+// (sympvl_reduce, sypvl_reduce, pvl_reduce_entry, arnoldi_reduce) on
+// healthy inputs.
+#include "mor/reduce.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,9 +42,9 @@ const Complex kProbe(0.0, 2.0 * M_PI * 1e9);
 
 TEST(Driver, RunSympvlMatchesLegacyAndReportsOk) {
   const MnaSystem sys = build_mna(two_port_rc());
-  SympvlOptions opt;
+  ReduceOptions opt;
   opt.order = 3;  // system has 3 nodes: the full Krylov space
-  const auto res = run_sympvl(sys, opt);
+  const ReduceResult res = reduce(sys, opt);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.status, ReductionStatus::kOk);
   EXPECT_EQ(res.report.achieved_order, 3);
@@ -64,9 +61,9 @@ TEST(Driver, RunSympvlMatchesLegacyAndReportsOk) {
 TEST(Driver, RunSympvlNetlistOverloadCapturesAssemblyFailure) {
   Netlist nl;  // no ports at all: assembly must reject it
   nl.add_resistor(1, 0, 100.0);
-  SympvlOptions opt;
+  ReduceOptions opt;
   opt.order = 2;
-  const auto res = run_sympvl(nl, opt);
+  const ReduceResult res = reduce(nl, opt);
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status, ReductionStatus::kFailed);
   ASSERT_FALSE(res.diagnostics.empty());
@@ -76,15 +73,16 @@ TEST(Driver, RunSympvlNetlistOverloadCapturesAssemblyFailure) {
 
 TEST(Driver, RunSypvlOkOnSinglePort) {
   const MnaSystem sys = build_mna(one_port_rc());
-  SympvlOptions opt;
+  ReduceOptions opt;
   opt.order = 2;
-  const auto res = run_sypvl(sys, opt);
+  opt.method = ReduceMethod::kSypvl;
+  const ReduceResult res = reduce(sys, opt);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.status, ReductionStatus::kOk);
   EXPECT_EQ(res.report.achieved_order, 2);
   EXPECT_EQ(res.model.order(), 2);
 
-  const auto bad = run_sypvl(build_mna(two_port_rc()), opt);  // p = 2
+  const ReduceResult bad = reduce(build_mna(two_port_rc()), opt);  // p = 2
   EXPECT_EQ(bad.status, ReductionStatus::kFailed);
   ASSERT_FALSE(bad.diagnostics.empty());
   EXPECT_EQ(bad.diagnostics.front().code, ErrorCode::kInvalidArgument);
@@ -92,16 +90,20 @@ TEST(Driver, RunSypvlOkOnSinglePort) {
 
 TEST(Driver, RunPvlOkAndStructuredOnBadPort) {
   const MnaSystem sys = build_mna(two_port_rc());
-  PvlOptions opt;
+  ReduceOptions opt;
   opt.order = 3;
-  const auto res = run_pvl(sys, 0, 0, opt);
+  opt.method = ReduceMethod::kPvl;
+  const ReduceResult res = reduce(sys, opt);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.status, ReductionStatus::kOk);
   EXPECT_EQ(res.report.achieved_order, res.model.order());
-  const PvlModel legacy = pvl_reduce_entry(sys, 0, 0, opt);
-  EXPECT_EQ(res.model.eval(kProbe), legacy.eval(kProbe));
+  PvlOptions popt;
+  static_cast<CommonReductionOptions&>(popt) = opt;
+  const PvlModel legacy = pvl_reduce_entry(sys, 0, 0, popt);
+  EXPECT_EQ(res.model.eval(kProbe)(0, 0), legacy.eval(kProbe));
 
-  const auto bad = run_pvl(sys, 5, 0, opt);  // port index out of range
+  opt.pvl_row = 5;  // port index out of range
+  const ReduceResult bad = reduce(sys, opt);
   EXPECT_EQ(bad.status, ReductionStatus::kFailed);
   ASSERT_FALSE(bad.diagnostics.empty());
   EXPECT_EQ(bad.diagnostics.front().code, ErrorCode::kInvalidArgument);
@@ -109,14 +111,17 @@ TEST(Driver, RunPvlOkAndStructuredOnBadPort) {
 
 TEST(Driver, RunArnoldiOkAndMatchesLegacy) {
   const MnaSystem sys = build_mna(two_port_rc());
-  ArnoldiOptions opt;
+  ReduceOptions opt;
   opt.order = 4;
-  const auto res = run_arnoldi(sys, opt);
+  opt.method = ReduceMethod::kArnoldi;
+  const ReduceResult res = reduce(sys, opt);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.status, ReductionStatus::kOk);
   EXPECT_EQ(res.report.achieved_order, res.model.order());
 
-  const ArnoldiModel legacy = arnoldi_reduce(sys, opt);
+  ArnoldiOptions aopt;
+  static_cast<CommonReductionOptions&>(aopt) = opt;
+  const ArnoldiModel legacy = arnoldi_reduce(sys, aopt);
   const CMat za = res.model.eval(kProbe);
   const CMat zb = legacy.eval(kProbe);
   for (Index i = 0; i < za.rows(); ++i)
@@ -159,13 +164,19 @@ TEST(Driver, ConsolidatedOptionsShareBaseFields) {
 }
 
 TEST(Driver, InvalidOrderIsStructuredFailure) {
+  // reduce() rejects invalid options up front with a coded error naming
+  // the field, before any method runs.
   const MnaSystem sys = build_mna(two_port_rc());
-  SympvlOptions opt;
+  ReduceOptions opt;
   opt.order = 0;
-  const auto res = run_sympvl(sys, opt);
-  EXPECT_EQ(res.status, ReductionStatus::kFailed);
-  ASSERT_FALSE(res.diagnostics.empty());
-  EXPECT_EQ(res.diagnostics.front().code, ErrorCode::kInvalidArgument);
+  try {
+    reduce(sys, opt);
+    FAIL() << "expected Error";
+  } catch (const Error& ex) {
+    EXPECT_EQ(ex.code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(ex.context().stage, "reduce.validate");
+    EXPECT_NE(std::string(ex.what()).find("order"), std::string::npos);
+  }
 }
 
 }  // namespace

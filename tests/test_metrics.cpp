@@ -48,7 +48,9 @@ TEST(Histogram, BucketLayoutIsMonotoneAndBounded) {
     EXPECT_GE(b, 0);
     EXPECT_LT(b, kHistBuckets);
     // Every non-overflow value sits strictly below its bucket's bound.
-    if (b < kHistBuckets - 1) EXPECT_LT(v, histogram_upper_bound(b));
+    if (b < kHistBuckets - 1) {
+      EXPECT_LT(v, histogram_upper_bound(b));
+    }
     prev = b;
   }
   EXPECT_TRUE(std::isinf(histogram_upper_bound(kHistBuckets - 1)));
@@ -153,7 +155,9 @@ TEST(Histogram, SpansFeedHistogramsAutomatically) {
   // obs::reset() zeroes the histograms too.
   obs::reset();
   for (const auto& [name, bins] : obs::snapshot_histograms())
-    if (name == "test.fed_span") EXPECT_TRUE(bins.empty());
+    if (name == "test.fed_span") {
+      EXPECT_TRUE(bins.empty());
+    }
 }
 
 TEST(MemStat, ByteGaugeTracksCurrentAndPeak) {

@@ -10,6 +10,8 @@
 
 #include "circuit/mna.hpp"
 #include "circuit/parser.hpp"
+#include "linalg/factor_cache.hpp"
+#include "mor/reduce.hpp"
 #include "mor/sympvl.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -243,6 +245,9 @@ TEST(Obs, ReportDeflationAndClusterDiagnostics) {
 
 TEST(Obs, EventStreamAgreesWithReportCounters) {
   ObsGuard guard(true);
+  // A factor cached by an earlier case in this process would skip the
+  // ldlt.factor span counted below.
+  FactorCache::global().clear();
   const MnaSystem sys = build_mna(deflation_forcing_netlist());
   SympvlOptions opt;
   opt.order = 3;
@@ -285,6 +290,33 @@ TEST(Obs, EventStreamAgreesWithReportCounters) {
             static_cast<double>(report.deflations));
   EXPECT_EQ(obs::counter("lanczos.steps").value(),
             static_cast<double>(report.achieved_order));
+}
+
+TEST(Obs, ReduceEmitsOneDriverResultNamingTheMethod) {
+  // One "driver.result" instant per reduce() call, for every method — the
+  // sharded path's 1-shard delegation included.
+  const MnaSystem sys = build_mna(deflation_forcing_netlist());
+  for (ReduceMethod method :
+       {ReduceMethod::kSympvl, ReduceMethod::kShardedSympvl,
+        ReduceMethod::kSypvl, ReduceMethod::kPvl, ReduceMethod::kArnoldi}) {
+    SCOPED_TRACE(reduce_method_name(method));
+    ObsGuard guard(true);
+    ReduceOptions opt;
+    opt.order = 2;
+    opt.method = method;
+    const ReduceResult res = reduce(sys, opt);
+    const auto events = obs::snapshot_events();
+    ASSERT_EQ(count_events(events, "driver.result", 'i'), 1);
+    for (const auto& e : events) {
+      if (std::strcmp(e.name, "driver.result") != 0) continue;
+      const obs::Arg* driver = find_arg(e, "driver");
+      ASSERT_NE(driver, nullptr);
+      EXPECT_STREQ(driver->str, reduce_method_name(method));
+      const obs::Arg* status = find_arg(e, "status");
+      ASSERT_NE(status, nullptr);
+      EXPECT_STREQ(status->str, reduction_status_name(res.status));
+    }
+  }
 }
 
 TEST(Obs, WriteChromeTraceProducesParseableJson) {

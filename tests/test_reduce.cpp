@@ -1,11 +1,7 @@
-// The public reduce() facade: method dispatch agrees with the underlying
-// run_* drivers, the MacroModel variant evaluates uniformly, failures
+// The public reduce() facade: method dispatch agrees with the primitive
+// each method calls, the MacroModel variant evaluates uniformly, failures
 // surface as status + diagnostics, and the unified sweep accepts the
 // facade's models.
-// This suite deliberately compares reduce() against the deprecated
-// run_* drivers it dispatches to.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 #include "mor/reduce.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +9,6 @@
 #include <cmath>
 
 #include "gen/package.hpp"
-#include "mor/driver.hpp"
 #include "sim/sweep_api.hpp"
 
 namespace sympvl {
@@ -45,9 +40,9 @@ TEST(Reduce, SympvlDispatchMatchesDriverBitwise) {
   EXPECT_EQ(res.model.order(), 3);
   EXPECT_EQ(res.model.port_count(), 2);
 
-  const auto driver = run_sympvl(sys, static_cast<const SympvlOptions&>(opt));
+  const ReducedModel primitive = sympvl_reduce(sys, opt);
   const CMat za = res.value().eval(kProbe);
-  const CMat zb = driver.value().eval(kProbe);
+  const CMat zb = primitive.eval(kProbe);
   for (Index i = 0; i < za.rows(); ++i)
     for (Index j = 0; j < za.cols(); ++j) EXPECT_EQ(za(i, j), zb(i, j));
 }
@@ -111,9 +106,9 @@ TEST(Reduce, SypvlDispatchMatchesDriver) {
   opt.method = ReduceMethod::kSypvl;
   const ReduceResult res = reduce(sys, opt);
   ASSERT_TRUE(res.ok());
-  const auto driver = run_sypvl(sys, static_cast<const SympvlOptions&>(opt));
+  const ReducedModel primitive = sypvl_reduce(sys, opt);
   const CMat za = res.value().eval(kProbe);
-  const CMat zb = driver.value().eval(kProbe);
+  const CMat zb = primitive.eval(kProbe);
   for (Index i = 0; i < za.rows(); ++i)
     for (Index j = 0; j < za.cols(); ++j) EXPECT_EQ(za(i, j), zb(i, j));
 }
@@ -135,8 +130,8 @@ TEST(Reduce, PvlDispatchWrapsScalarAsOneByOne) {
 
   PvlOptions popt;
   static_cast<CommonReductionOptions&>(popt) = opt;
-  const auto driver = run_pvl(sys, 1, 0, popt);
-  EXPECT_EQ(z(0, 0), driver.value().eval(kProbe));
+  const PvlModel primitive = pvl_reduce_entry(sys, 1, 0, popt);
+  EXPECT_EQ(z(0, 0), primitive.eval(kProbe));
 }
 
 TEST(Reduce, ArnoldiDispatchMatchesDriver) {
@@ -150,11 +145,45 @@ TEST(Reduce, ArnoldiDispatchMatchesDriver) {
 
   ArnoldiOptions aopt;
   static_cast<CommonReductionOptions&>(aopt) = opt;
-  const auto driver = run_arnoldi(sys, aopt);
+  const ArnoldiModel primitive = arnoldi_reduce(sys, aopt);
   const CMat za = res.value().eval(kProbe);
-  const CMat zb = driver.value().eval(kProbe);
+  const CMat zb = primitive.eval(kProbe);
   for (Index i = 0; i < za.rows(); ++i)
     for (Index j = 0; j < za.cols(); ++j) EXPECT_EQ(za(i, j), zb(i, j));
+}
+
+// A port node feeding two identical RC branches: n = 3, but by symmetry
+// the two branch nodes always carry equal voltages, so every Krylov space
+// the methods build from the port stops at dimension 2.
+Netlist twin_branch_rc() {
+  Netlist nl;
+  for (Index branch : {2, 3}) {
+    nl.add_resistor(1, branch, 100.0);
+    nl.add_resistor(branch, 0, 200.0);
+    nl.add_capacitor(branch, 0, 1e-12);
+  }
+  nl.add_port(1, 0);
+  return nl;
+}
+
+TEST(Reduce, ExhaustedKrylovSpaceIsOkForEveryMethod) {
+  // Stopping short of the request because the Krylov space is exhausted
+  // leaves an exact model: kOk, not kTruncated, for every method.
+  const MnaSystem sys = build_mna(twin_branch_rc());
+  ASSERT_EQ(sys.size(), 3);
+  for (ReduceMethod method :
+       {ReduceMethod::kSympvl, ReduceMethod::kShardedSympvl,
+        ReduceMethod::kSypvl, ReduceMethod::kPvl, ReduceMethod::kArnoldi}) {
+    SCOPED_TRACE(reduce_method_name(method));
+    ReduceOptions opt;
+    opt.order = 3;
+    opt.method = method;
+    const ReduceResult res = reduce(sys, opt);
+    EXPECT_EQ(res.status, ReductionStatus::kOk);
+    EXPECT_EQ(res.report.achieved_order, 2);
+    EXPECT_TRUE(res.report.exhausted);
+    EXPECT_TRUE(res.diagnostics.empty());
+  }
 }
 
 TEST(Reduce, NetlistOverloadCapturesAssemblyFailure) {

@@ -85,9 +85,10 @@ void expect_bad_request(const std::string& body,
     FAIL() << "accepted: " << body;
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << body;
-    if (!needle.empty())
+    if (!needle.empty()) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
           << e.what();
+    }
   }
 }
 

@@ -1,11 +1,8 @@
 // The unified sweep entry point (sim/sweep_api.hpp) and the
-// CacheOptions/KernelOptions plumbing of CommonReductionOptions: the
-// free-function sweeps must match the member spellings bit for bit, and
-// the option structs must actually reach the factorization layer (cache
-// keys, SympvlReport telemetry, per-reduction bypass).
-// This suite deliberately exercises the deprecated member sweep()
-// spellings to prove free/member parity.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// CacheOptions/KernelOptions plumbing of CommonReductionOptions: every
+// sweep() overload must match a per-point z_at/eval loop bit for bit,
+// and the option structs must actually reach the factorization layer
+// (cache keys, SympvlReport telemetry, per-reduction bypass).
 
 #include "sim/sweep_api.hpp"
 
@@ -24,14 +21,21 @@ MnaSystem small_rc() {
   return build_mna(random_rc({.nodes = 40, .ports = 2, .seed = 23}));
 }
 
-void expect_bit_identical(const SweepResult& a, const SweepResult& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t k = 0; k < a.size(); ++k) {
-    ASSERT_EQ(a.ok(k), b.ok(k));
-    for (Index i = 0; i < a[k].rows(); ++i)
-      for (Index j = 0; j < a[k].cols(); ++j) {
-        ASSERT_EQ(a[k](i, j).real(), b[k](i, j).real());
-        ASSERT_EQ(a[k](i, j).imag(), b[k](i, j).imag());
+// Asserts `swept` is all-ok and bit-identical to z_at(j·2πf) evaluated
+// point by point.
+template <typename ZAt>
+void expect_matches_pointwise(const SweepResult& swept, const Vec& freqs,
+                              ZAt&& z_at) {
+  ASSERT_TRUE(swept.all_ok());
+  ASSERT_EQ(swept.size(), freqs.size());
+  for (size_t k = 0; k < freqs.size(); ++k) {
+    const CMat z = z_at(Complex(0.0, 2.0 * M_PI * freqs[k]));
+    ASSERT_EQ(swept[k].rows(), z.rows());
+    ASSERT_EQ(swept[k].cols(), z.cols());
+    for (Index i = 0; i < z.rows(); ++i)
+      for (Index j = 0; j < z.cols(); ++j) {
+        ASSERT_EQ(swept[k](i, j).real(), z(i, j).real());
+        ASSERT_EQ(swept[k](i, j).imag(), z(i, j).imag());
       }
   }
 }
@@ -41,7 +45,8 @@ TEST(SweepApi, EngineOverloadMatchesMemberSweep) {
   const Vec freqs = log_frequency_grid(1e6, 1e9, 13);
   FactorCache cache(8);
   const AcSweepEngine engine(sys, &cache);
-  expect_bit_identical(sweep(engine, freqs), engine.sweep(freqs));
+  expect_matches_pointwise(sweep(engine, freqs), freqs,
+                           [&](Complex s) { return engine.z_at(s); });
 }
 
 TEST(SweepApi, SystemOverloadMatchesEngine) {
@@ -52,7 +57,8 @@ TEST(SweepApi, SystemOverloadMatchesEngine) {
   opt.factor_cache = &cache;
   const SweepResult via_system = sweep(sys, freqs, opt);
   const AcSweepEngine engine(sys, &cache);
-  expect_bit_identical(via_system, engine.sweep(freqs));
+  expect_matches_pointwise(via_system, freqs,
+                           [&](Complex s) { return engine.z_at(s); });
 }
 
 TEST(SweepApi, ReducedModelOverloadMatchesMemberSweep) {
@@ -61,7 +67,8 @@ TEST(SweepApi, ReducedModelOverloadMatchesMemberSweep) {
   opt.order = 8;
   const ReducedModel rom = sympvl_reduce(sys, opt);
   const Vec freqs = log_frequency_grid(1e6, 1e9, 11);
-  expect_bit_identical(sweep(rom, freqs), rom.sweep(freqs));
+  expect_matches_pointwise(sweep(rom, freqs), freqs,
+                           [&](Complex s) { return rom.eval(s); });
 }
 
 TEST(SweepApi, ModalOverloadMatchesMemberValuesAndContains) {
@@ -70,16 +77,8 @@ TEST(SweepApi, ModalOverloadMatchesMemberValuesAndContains) {
   opt.order = 8;
   const ModalModel modal = modal_decompose(sympvl_reduce(sys, opt));
   const Vec freqs = log_frequency_grid(1e6, 1e9, 11);
-  const std::vector<CMat> member = modal.sweep(freqs);
-  const SweepResult unified = sweep(modal, freqs);
-  ASSERT_TRUE(unified.all_ok());
-  ASSERT_EQ(unified.size(), member.size());
-  for (size_t k = 0; k < member.size(); ++k)
-    for (Index i = 0; i < member[k].rows(); ++i)
-      for (Index j = 0; j < member[k].cols(); ++j) {
-        ASSERT_EQ(unified[k](i, j).real(), member[k](i, j).real());
-        ASSERT_EQ(unified[k](i, j).imag(), member[k](i, j).imag());
-      }
+  expect_matches_pointwise(sweep(modal, freqs), freqs,
+                           [&](Complex s) { return modal.eval(s); });
 }
 
 // throw_on_failure needs a deterministically failing point, so its test
